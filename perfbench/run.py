@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload map-4096 --seed 7 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload map-4096-t2 --seed 7 --seconds 20 --trace 0
     python3 perfbench/run.py --self-test
 
 One invocation is one run of one workload. It builds the `perfbench` steps
@@ -36,7 +36,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(ROOT, "perfbench")
 CACHE = os.path.join(ROOT, ".bench_cache")
 
-WORKLOADS = ["map-4096", "map-4096-t2", "fennel-64-metis", "churn"]
+# The workloads BENCHMARK.json names. On a shared 2-vCPU host the speed
+# drifts by up to ±30 % over minutes, which dominates the spread between
+# runs, so only two workloads are gated (see README.md).
+WORKLOADS = ["map-4096-t2", "churn"]
+# Runnable by hand with the same metrics and checks; not in BENCHMARK.json.
+EXTRA_WORKLOADS = ["map-4096", "fennel-64-metis"]
 THREADED = {"map-4096-t2"}
 
 # name -> (unit, better); the order is the order of the report.
@@ -44,7 +49,6 @@ END_TO_END = {
     "wall_s": ("s", "lower"),
     "setup_s": ("s", "lower"),
     "partition_s": ("s", "lower"),
-    "deltas_per_s": ("1/s", "higher"),
     "edge_cut_frac": ("ratio", "lower"),
     "mapping_cost": ("J", "lower"),
     "peak_rss_mib": ("MiB", "lower"),
@@ -102,6 +106,10 @@ WORKLOAD_SPECIFIC = {
     "dynamic.batch_max_ms": "ms",
     "dynamic.fallback_s": "s",
 }
+
+# Printed with the end-to-end metrics but not gated: for a given input it is
+# a fixed count divided by `partition_s`, so it carries no other information.
+DERIVED = {"deltas_per_s": "1/s"}
 
 MIN_REPS = 5
 # Stop starting repetitions past this many seconds, whatever --seconds says,
@@ -355,6 +363,9 @@ def report_end_to_end(reps, failed):
         q = quantiles(values)
         rows.append(f"  {name:<16} {median:>16.6g} {unit:<6} n={len(values)} "
                     f"q1={q[0]:.6g} q3={q[2]:.6g} min={min(values):.6g} max={max(values):.6g}")
+    for name, unit in DERIVED.items():
+        median = statistics.median(r[name] for r in ok)
+        rows.append(f"  {name:<16} {median:>16.6g} {unit:<6} (derived from partition_s)")
     rows.append(f"  {'failed_frac':<16} {failed / len(reps):>16.6g} ratio  "
                 f"({failed} failed of {len(reps)} attempted)")
     return metrics, rows
@@ -451,7 +462,7 @@ def self_test():
                 problems.append(f"BENCHMARK.json {key} differs from run.py")
         if [w["name"] for w in spec["workloads"]] != WORKLOADS:
             problems.append("BENCHMARK.json workloads differ from run.py")
-    for workload in WORKLOADS:
+    for workload in WORKLOADS + EXTRA_WORKLOADS:
         for traced, table in ((False, END_TO_END), (True, PER_LAYER)):
             result, lines = run(workload, 1, 0, traced, scale="tiny")
             got = {k: v["unit"] for k, v in result["metrics"].items()}
@@ -474,7 +485,7 @@ def self_test():
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", choices=WORKLOADS)
+    parser.add_argument("--workload", choices=WORKLOADS + EXTRA_WORKLOADS)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
