@@ -2,10 +2,9 @@
 //! Table 2 / Fig. 3): parallel OMS and parallel Fennel at 1, 2 and 4 threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use oms_core::parallel::onepass_parallel;
-use oms_core::FlatObjective;
-use oms_core::{HierarchySpec, OmsConfig, OnePassConfig, OnlineMultiSection};
+use oms_core::{HierarchySpec, JobSpec, OmsConfig, OnlineMultiSection};
 use oms_gen::random_geometric_graph;
+use oms_graph::InMemoryStream;
 use std::time::Duration;
 
 fn bench_scalability(c: &mut Criterion) {
@@ -33,16 +32,12 @@ fn bench_scalability(c: &mut Criterion) {
             BenchmarkId::new("fennel-parallel", threads),
             &threads,
             |b, &t| {
-                b.iter(|| {
-                    onepass_parallel(
-                        &graph,
-                        k,
-                        FlatObjective::Fennel,
-                        OnePassConfig::default(),
-                        t,
-                    )
+                // `threads=1` resolves to the sequential flat kernel.
+                let fennel = JobSpec::parse(&format!("fennel:{k}@threads={t}"))
                     .unwrap()
-                })
+                    .build()
+                    .unwrap();
+                b.iter(|| fennel.partition(&mut InMemoryStream::new(&graph)).unwrap())
             },
         );
     }

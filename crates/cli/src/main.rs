@@ -40,7 +40,9 @@
 //! `Box<dyn Partitioner>` the registry produces, so new backends registered
 //! by library crates are immediately available here.
 //!
-//! Exit code 0 on success, 1 on user error, 2 on internal error.
+//! Exit code 0 on success, 1 on user error (bad flags or job specs, or an
+//! input file that fails validation), 2 on internal error (I/O failures,
+//! trace hash mismatches).
 
 use oms_core::{registered_algorithms, JobSpec};
 use oms_graph::io::{
@@ -61,6 +63,10 @@ fn main() -> ExitCode {
         Err(Error::Usage(msg)) => {
             eprintln!("error: {msg}\n");
             eprintln!("{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(Error::Input(msg)) => {
+            eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
         Err(Error::Internal(msg)) => {
@@ -89,12 +95,25 @@ const USAGE: &str = "usage:
 
 enum Error {
     Usage(String),
+    /// A malformed input (graph, stream or delta file): exit 1, no usage.
+    Input(String),
     Internal(String),
+}
+
+impl Error {
+    /// An input error unless `e` is an I/O failure, which is the
+    /// environment's fault rather than the input's.
+    fn from_graph(e: &oms_graph::GraphError, msg: String) -> Self {
+        match e {
+            oms_graph::GraphError::Io(_) => Error::Internal(msg),
+            _ => Error::Input(msg),
+        }
+    }
 }
 
 impl From<oms_graph::GraphError> for Error {
     fn from(e: oms_graph::GraphError) -> Self {
-        Error::Internal(format!("graph error: {e}"))
+        Error::from_graph(&e, format!("graph error: {e}"))
     }
 }
 
@@ -104,7 +123,9 @@ impl From<oms_core::PartitionError> for Error {
             // Bad specs are user errors: show the usage text.
             oms_core::PartitionError::InvalidSpec(msg)
             | oms_core::PartitionError::InvalidConfig(msg) => Error::Usage(msg),
-            other => Error::Internal(format!("partitioning error: {other}")),
+            oms_core::PartitionError::Graph(ref g) => {
+                Error::from_graph(g, format!("partitioning error: {e}"))
+            }
         }
     }
 }

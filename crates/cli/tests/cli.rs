@@ -615,3 +615,45 @@ fn partition_passes_works_for_in_memory_and_buffered_algorithms() {
         );
     }
 }
+
+#[test]
+fn out_of_range_neighbor_in_a_stream_file_is_a_typed_error() {
+    let dir = temp_dir("out-of-range");
+    let metis = dir.join("g.metis");
+    let stream = dir.join("g.oms");
+    let output = oms()
+        .args(["generate", "er", "1000"])
+        .arg(&metis)
+        .args(["--seed", "7"])
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+    let output = oms()
+        .arg("convert")
+        .arg(&metis)
+        .arg(&stream)
+        .args(["--stream-version", "3"])
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+    // Unit weights: the v3 neighbour section follows the 40-byte header and
+    // the 4·n-byte degree section (already 8-byte aligned for n = 1000).
+    let mut bytes = std::fs::read(&stream).unwrap();
+    let first_neighbor = 40 + 4 * 1000;
+    bytes[first_neighbor..first_neighbor + 4].copy_from_slice(&4_000_000u32.to_le_bytes());
+    std::fs::write(&stream, &bytes).unwrap();
+    for job in ["fennel:8", "oms:2:2:2", "fennel:8@threads=2"] {
+        let output = oms()
+            .arg("partition")
+            .arg(&stream)
+            .args(["--job", job])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{job}: {stderr}");
+        assert!(
+            stderr.contains("node 4000000 out of range") && !stderr.contains("panicked"),
+            "{job}: {stderr}"
+        );
+    }
+}

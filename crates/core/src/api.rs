@@ -99,13 +99,14 @@ use crate::executor::{PassStats, PassTrajectory};
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::oms::OnlineMultiSection;
 use crate::onepass::{Fennel, FlatObjective, Hashing, Ldg, StreamingPartitioner};
-use crate::parallel::{hashing_parallel, onepass_parallel_restream};
+use crate::parallel::hashing_parallel;
 use crate::partition::Partition;
 use crate::restream::{ReFennel, ReHashing, ReLdg, ReOms};
 use crate::shard::{ShardStats, ShardedFlat};
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, EdgeWeight, NodeId, NodeStream, NodeWeight};
 use oms_obs::Stopwatch;
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::{Mutex, OnceLock};
@@ -176,7 +177,7 @@ impl PartitionReport {
 /// entry point. It is blanket-implemented for every
 /// [`StreamingPartitioner`]; algorithms that need random access to the graph
 /// (parallel drivers, multilevel) implement it directly and use
-/// [`NodeStream::as_graph`] / [`materialize_stream`] to obtain one.
+/// [`stream_graph`] to borrow (or, from a pure stream, collect) one.
 pub trait Partitioner {
     /// Registry name of the algorithm (used in reports).
     fn name(&self) -> String;
@@ -307,14 +308,19 @@ pub fn stream_mapping_cost(
     Ok(twice / 2)
 }
 
-/// Collects a full [`CsrGraph`] out of one stream pass.
+/// The stream's graph for a random-access algorithm: borrowed when the
+/// stream already holds one in memory ([`NodeStream::as_graph`]), otherwise
+/// collected once out of one stream pass.
 ///
-/// Random-access algorithms behind the unified API (parallel drivers,
-/// multilevel) call this when [`NodeStream::as_graph`] returns `None`,
-/// trading the streaming memory guarantee for applicability.
-pub fn materialize_stream(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
-    if let Some(graph) = stream.as_graph() {
-        return Ok(graph.clone());
+/// Random-access algorithms behind the unified API (threaded drivers,
+/// multilevel) call this; only streams without an in-memory graph trade the
+/// streaming memory guarantee for applicability.
+pub fn stream_graph<'a>(stream: &'a mut dyn NodeStream) -> Result<Cow<'a, CsrGraph>> {
+    if stream.as_graph().is_some() {
+        // Downgrade to a shared borrow for the full lifetime; probing first
+        // keeps that borrow off the fallback path below.
+        let stream: &'a dyn NodeStream = stream;
+        return Ok(Cow::Borrowed(stream.as_graph().expect("probed above")));
     }
     let n = stream.num_nodes();
     let mut node_weights: Vec<NodeWeight> = vec![1; n];
@@ -335,76 +341,29 @@ pub fn materialize_stream(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
         eweights.extend_from_slice(&edge_weights[i]);
         xadj.push(adjncy.len());
     }
-    CsrGraph::from_csr(xadj, adjncy, eweights, node_weights).map_err(PartitionError::Graph)
+    CsrGraph::from_csr(xadj, adjncy, eweights, node_weights)
+        .map(Cow::Owned)
+        .map_err(PartitionError::Graph)
+}
+
+/// An owned copy of the stream's graph ([`stream_graph`], cloned when
+/// borrowed), for callers that must keep it past the stream.
+pub fn materialize_stream(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
+    stream_graph(stream).map(Cow::into_owned)
 }
 
 // -------------------------------------------------------- parallel adapters
 
-#[derive(Clone, Copy, Debug)]
-enum ParFlatKind {
-    Hashing,
-    Fennel,
-    Ldg,
-}
-
-/// Adapter running the shared-memory parallel one-pass drivers (§3.4) behind
-/// the object-safe API. Streams without an in-memory graph are materialised.
-/// `passes > 1` restreams the graph with the same parallel kernel.
-struct ParallelFlat {
+/// Adapter running parallel Hashing behind the object-safe API.
+struct ParallelHashing {
     k: u32,
-    kind: ParFlatKind,
     config: OnePassConfig,
     threads: usize,
-    passes: usize,
-    convergence: f64,
 }
 
-impl ParallelFlat {
-    fn run_parallel(
-        &self,
-        stream: &mut dyn NodeStream,
-        tracked: bool,
-    ) -> Result<(Partition, PassTrajectory)> {
-        let graph = materialize_stream(stream)?;
-        match self.kind {
-            ParFlatKind::Hashing => {
-                // Hashing never moves a node across passes; a single
-                // parallel pass is the fixed point.
-                let partition = hashing_parallel(&graph, self.k, self.config, self.threads)?;
-                Ok((partition, PassTrajectory::default()))
-            }
-            ParFlatKind::Fennel => onepass_parallel_restream(
-                &graph,
-                self.k,
-                FlatObjective::Fennel,
-                self.config,
-                self.threads,
-                self.passes,
-                self.convergence,
-                tracked,
-            ),
-            ParFlatKind::Ldg => onepass_parallel_restream(
-                &graph,
-                self.k,
-                FlatObjective::Ldg,
-                self.config,
-                self.threads,
-                self.passes,
-                self.convergence,
-                tracked,
-            ),
-        }
-    }
-}
-
-impl Partitioner for ParallelFlat {
+impl Partitioner for ParallelHashing {
     fn name(&self) -> String {
-        match self.kind {
-            ParFlatKind::Hashing => "hashing",
-            ParFlatKind::Fennel => "fennel",
-            ParFlatKind::Ldg => "ldg",
-        }
-        .to_string()
+        "hashing".to_string()
     }
 
     fn num_blocks(&self) -> u32 {
@@ -412,29 +371,43 @@ impl Partitioner for ParallelFlat {
     }
 
     fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        Ok(self.run_parallel(stream, false)?.0)
-    }
-
-    fn partition_tracked(
-        &self,
-        stream: &mut dyn NodeStream,
-    ) -> Result<(Partition, PassTrajectory)> {
-        self.run_parallel(stream, true)
+        let graph = stream_graph(stream)?;
+        hashing_parallel(&graph, self.k, self.config, self.threads)
     }
 }
 
-/// Adapter running the vertex-centric parallel OMS driver behind the
-/// object-safe API.
+/// Adapter running the vertex-centric parallel descent behind the
+/// object-safe API: threaded OMS / nh-OMS, and threaded flat Fennel/LDG as
+/// the descent over a one-level tree. `passes > 1` restreams the graph with
+/// the same kernel.
 struct ParallelOms {
+    name: &'static str,
     oms: OnlineMultiSection,
     threads: usize,
     passes: usize,
     convergence: f64,
 }
 
+impl ParallelOms {
+    fn run(
+        &self,
+        stream: &mut dyn NodeStream,
+        tracked: bool,
+    ) -> Result<(Partition, PassTrajectory)> {
+        let graph = stream_graph(stream)?;
+        self.oms.partition_graph_parallel_restream(
+            &graph,
+            self.threads,
+            self.passes,
+            self.convergence,
+            tracked,
+        )
+    }
+}
+
 impl Partitioner for ParallelOms {
     fn name(&self) -> String {
-        "oms".to_string()
+        self.name.to_string()
     }
 
     fn num_blocks(&self) -> u32 {
@@ -442,31 +415,14 @@ impl Partitioner for ParallelOms {
     }
 
     fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        let graph = materialize_stream(stream)?;
-        Ok(self
-            .oms
-            .partition_graph_parallel_restream(
-                &graph,
-                self.threads,
-                self.passes,
-                self.convergence,
-                false,
-            )?
-            .0)
+        Ok(self.run(stream, false)?.0)
     }
 
     fn partition_tracked(
         &self,
         stream: &mut dyn NodeStream,
     ) -> Result<(Partition, PassTrajectory)> {
-        let graph = materialize_stream(stream)?;
-        self.oms.partition_graph_parallel_restream(
-            &graph,
-            self.threads,
-            self.passes,
-            self.convergence,
-            true,
-        )
+        self.run(stream, true)
     }
 }
 
@@ -1188,13 +1144,10 @@ fn build_hashing(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
     Ok(if spec.passes > 1 {
         Box::new(ReHashing::new(k, config, spec.passes).convergence(spec.convergence))
     } else if spec.threads > 1 {
-        Box::new(ParallelFlat {
+        Box::new(ParallelHashing {
             k,
-            kind: ParFlatKind::Hashing,
             config,
             threads: spec.threads,
-            passes: 1,
-            convergence: 0.0,
         })
     } else {
         Box::new(Hashing::new(k, config))
@@ -1211,10 +1164,9 @@ fn build_ldg(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
                 .convergence(spec.convergence),
         )
     } else if spec.threads > 1 {
-        Box::new(ParallelFlat {
-            k,
-            kind: ParFlatKind::Ldg,
-            config,
+        Box::new(ParallelOms {
+            name: "ldg",
+            oms: OnlineMultiSection::one_level(k, config, FlatObjective::Ldg)?,
             threads: spec.threads,
             passes: spec.passes,
             convergence: spec.convergence,
@@ -1236,10 +1188,9 @@ fn build_fennel(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
                 .convergence(spec.convergence),
         )
     } else if spec.threads > 1 {
-        Box::new(ParallelFlat {
-            k,
-            kind: ParFlatKind::Fennel,
-            config,
+        Box::new(ParallelOms {
+            name: "fennel",
+            oms: OnlineMultiSection::one_level(k, config, FlatObjective::Fennel)?,
             threads: spec.threads,
             passes: spec.passes,
             convergence: spec.convergence,
@@ -1258,6 +1209,7 @@ fn finish_oms(
 ) -> Result<Box<dyn Partitioner>> {
     Ok(if spec.threads > 1 {
         Box::new(ParallelOms {
+            name: "oms",
             oms,
             threads: spec.threads,
             passes: spec.passes,
@@ -1580,6 +1532,36 @@ mod tests {
         let graph = two_communities();
         let rebuilt = materialize_stream(&mut InMemoryStream::new(&graph)).unwrap();
         assert_eq!(graph, rebuilt);
+    }
+
+    #[test]
+    fn stream_graph_borrows_an_in_memory_graph_and_collects_a_pure_stream() {
+        /// A stream that hides its in-memory graph.
+        struct Pure<'g>(InMemoryStream<'g>);
+        impl NodeStream for Pure<'_> {
+            fn num_nodes(&self) -> usize {
+                self.0.num_nodes()
+            }
+            fn num_edges(&self) -> usize {
+                self.0.num_edges()
+            }
+            fn total_node_weight(&self) -> NodeWeight {
+                self.0.total_node_weight()
+            }
+            fn for_each_node(
+                &mut self,
+                f: &mut dyn FnMut(oms_graph::StreamedNode<'_>),
+            ) -> oms_graph::Result<()> {
+                self.0.for_each_node(f)
+            }
+        }
+        let graph = two_communities();
+        let mut memory = InMemoryStream::new(&graph);
+        let borrowed = stream_graph(&mut memory).unwrap();
+        assert!(matches!(borrowed, Cow::Borrowed(g) if std::ptr::eq(g, &graph)));
+        let mut pure = Pure(InMemoryStream::new(&graph));
+        let collected = stream_graph(&mut pure).unwrap();
+        assert!(matches!(collected, Cow::Owned(ref g) if *g == graph));
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub mod shard;
 
 pub use api::{
     find_algorithm, materialize_stream, register_algorithm, registered_algorithms, stream_edge_cut,
-    AlgorithmInfo, JobShape, JobSpec, PartitionReport, Partitioner, RepairPolicy,
+    stream_graph, AlgorithmInfo, JobShape, JobSpec, PartitionReport, Partitioner, RepairPolicy,
 };
 pub use config::{AlphaMode, OmsConfig, OnePassConfig, ScorerKind};
 pub use executor::{

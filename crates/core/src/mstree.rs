@@ -193,7 +193,8 @@ impl MultisectionTree {
         self.max_depth
     }
 
-    /// Children of a node (empty for leaves).
+    /// Children of a node (empty for leaves), in order. Their ids are
+    /// consecutive: both builders create all children of a node at once.
     pub fn children(&self, node: u32) -> &[u32] {
         &self.children[node as usize]
     }
@@ -413,6 +414,23 @@ mod tests {
                 assert_eq!(tree.child_index(child) as usize, i);
                 assert_eq!(tree.parent(child), Some(node));
                 assert_eq!(tree.depth(child), tree.depth(node) + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn children_have_consecutive_ids() {
+        let trees = [
+            MultisectionTree::flat(37, 4),
+            MultisectionTree::flat(4096, 4096),
+            MultisectionTree::from_hierarchy(&HierarchySpec::parse("2:3:4").unwrap()),
+        ];
+        for tree in trees {
+            for node in 0..tree.num_nodes() as u32 {
+                let kids = tree.children(node);
+                for (i, &child) in kids.iter().enumerate() {
+                    assert_eq!(child, kids[0] + i as u32);
+                }
             }
         }
     }

@@ -8,20 +8,30 @@
 //! to running `ℓ` successive passes of the per-layer partitioner, but needs
 //! only a single pass.
 //!
-//! Per layer the candidate children are scored with Fennel (using the
-//! adapted `αᵢ` of §3.2 by default), LDG or Hashing; the hybrid mode solves
-//! the bottom layers with Hashing for an additional speedup at some quality
-//! cost (Theorem 3).
+//! One procedure, `Descent::place`, does this for every tree-scored path:
+//! the sequential sink here, restreaming ([`crate::ReOms`]), and the
+//! threaded driver of §3.4 ([`crate::parallel`]), which also runs the
+//! threaded flat Fennel/LDG as the descent over a one-level tree. The
+//! descent is read-only: it reads assignments and tree-node loads through a
+//! `DescentView` (plain slices or atomics) and returns the leaf block; the
+//! caller adds the node's weight along the leaf's path. It gathers the
+//! node's assigned neighbours once, then per level scores the children with
+//! Fennel (using the adapted `αᵢ` of §3.2 by default) or LDG through the
+//! shared [`select`] and the load-keyed `BaseCache`, and keeps only the
+//! neighbours below the chosen child. The hybrid mode solves the bottom
+//! layers with Hashing for an additional speedup at some quality cost
+//! (Theorem 3).
 
-use crate::config::{OmsConfig, ScorerKind};
+use crate::config::{OmsConfig, OnePassConfig, ScorerKind};
 use crate::executor::{BatchExecutor, NodeSink};
 use crate::hierarchy::HierarchySpec;
 use crate::mstree::MultisectionTree;
-use crate::onepass::StreamingPartitioner;
+use crate::onepass::{FlatObjective, StreamingPartitioner};
 use crate::partition::{Partition, UNASSIGNED};
-use crate::scorer::{select_fennel, select_hashing, select_ldg, Candidate};
+use crate::scorer::{select, select_hashing, BaseCache};
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{CsrGraph, EdgeWeight, InMemoryStream, NodeStream, NodeWeight};
+use oms_graph::{CsrGraph, EdgeWeight, InMemoryStream, NodeId, NodeStream, NodeWeight};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// The online recursive multi-section partitioner (OMS / nh-OMS).
 #[derive(Clone, Debug)]
@@ -73,190 +83,281 @@ impl OnlineMultiSection {
         &self.config
     }
 
-    /// Whether a decision among children at tree depth `child_depth` is
-    /// solved with Hashing under the hybrid configuration.
-    pub(crate) fn hybrid_uses_hashing(&self, child_depth: usize) -> bool {
+    /// Flat `k`-way Fennel or LDG as the descent over a one-level tree
+    /// (`k` leaves under the root). Every leaf covers one block, so its
+    /// capacity is `L_max` and its adapted `α` is the global one: the same
+    /// scores, bit for bit, as the flat state.
+    pub(crate) fn one_level(
+        k: u32,
+        config: OnePassConfig,
+        objective: FlatObjective,
+    ) -> Result<Self> {
+        let scorer = match objective {
+            FlatObjective::Fennel => ScorerKind::Fennel,
+            FlatObjective::Ldg => ScorerKind::Ldg,
+        };
+        let config = OmsConfig::default()
+            .epsilon(config.epsilon)
+            .gamma(config.gamma)
+            .seed(config.seed)
+            .scorer(scorer)
+            .base_b(k.max(2));
+        Self::flat(k, config)
+    }
+
+    /// The first child depth decided by Hashing: every level under the
+    /// [`ScorerKind::Hashing`] scorer, the `hashing_bottom_layers` deepest
+    /// levels in hybrid mode (layers count from the bottom), none otherwise.
+    fn hashed_from(&self) -> usize {
         if self.config.scorer == ScorerKind::Hashing {
-            return true;
+            return 1;
         }
-        if self.config.hashing_bottom_layers == 0 {
-            return false;
-        }
-        // Layers are counted from the bottom: the deepest decision is layer 1.
-        let layers_from_bottom = self.tree.max_depth() + 1 - child_depth;
-        layers_from_bottom <= self.config.hashing_bottom_layers
+        (self.tree.max_depth() + 1)
+            .saturating_sub(self.config.hashing_bottom_layers)
+            .max(1)
     }
 }
 
-/// The per-run mutable state of an OMS pass. Separate from
-/// [`OnlineMultiSection`] so that the restreaming driver can keep it alive
-/// across passes.
-pub(crate) struct OmsState {
-    pub(crate) assignments: Vec<BlockId>,
-    pub(crate) node_weights: Vec<NodeWeight>,
-    /// Weight of every tree node (block or sub-block). Lemma 1: `O(k)` many.
-    pub(crate) tree_weights: Vec<NodeWeight>,
+/// Read access to the state a descent scores against: each node's block
+/// and each tree node's load. Plain slices serve the sequential sink;
+/// atomic slices serve the threaded driver, whose readers see the other
+/// threads' assignments as they are published.
+pub(crate) trait DescentView {
+    /// The block of `node`, or [`UNASSIGNED`].
+    fn block_of(&self, node: NodeId) -> BlockId;
+    /// The current load of a tree node.
+    fn load(&self, tree_node: u32) -> NodeWeight;
+}
+
+impl DescentView for (&[BlockId], &[NodeWeight]) {
+    #[inline(always)]
+    fn block_of(&self, node: NodeId) -> BlockId {
+        self.0[node as usize]
+    }
+
+    #[inline(always)]
+    fn load(&self, tree_node: u32) -> NodeWeight {
+        self.1[tree_node as usize]
+    }
+}
+
+/// The threaded view. Both loads are `Acquire`, pairing with the writer's
+/// `Release` store of an assignment and its `AcqRel` load updates: a
+/// reader that sees a node in a block also sees the weight staged for it.
+impl DescentView for (&[AtomicU32], &[AtomicU64]) {
+    #[inline(always)]
+    fn block_of(&self, node: NodeId) -> BlockId {
+        self.0[node as usize].load(Ordering::Acquire)
+    }
+
+    #[inline(always)]
+    fn load(&self, tree_node: u32) -> NodeWeight {
+        self.1[tree_node as usize].load(Ordering::Acquire)
+    }
+}
+
+/// The read-only half of the multi-section descent: the tree, every tree
+/// node's capacity `t·L_max` and `α`, and the scoring rule. Shared by all
+/// threads of a threaded run.
+pub(crate) struct Descent<'a> {
+    tree: &'a MultisectionTree,
     capacities: Vec<NodeWeight>,
     alphas: Vec<f64>,
-    /// Scratch connectivity buffer, sized to the maximum fan-out.
-    conn: Vec<EdgeWeight>,
-    candidates: Vec<Candidate>,
+    /// The scoring rule of the non-hashed levels.
+    objective: FlatObjective,
+    gamma: f64,
+    seed: u64,
+    /// First child depth decided by Hashing ([`OnlineMultiSection::hashed_from`]).
+    hashed_from: usize,
+    max_fan_out: usize,
 }
 
-impl OmsState {
-    pub(crate) fn new<S: NodeStream>(oms: &OnlineMultiSection, stream: &S) -> Self {
+/// The per-thread half of the descent: scratch buffers, the base cache and
+/// the work tally. Allocated once per pass (per chunk when threaded); the
+/// steady state allocates nothing.
+pub(crate) struct DescentScratch {
+    /// The node's assigned neighbours still below the current tree node.
+    below: Vec<(BlockId, EdgeWeight)>,
+    /// Connectivity towards each child of the current tree node.
+    conn: Vec<EdgeWeight>,
+    bases: BaseCache,
+    /// Nodes placed since the caller last drained the tally into the
+    /// `NodesScored` counter (plain adds on the hot path, as in the flat
+    /// state).
+    pub(crate) scored: u64,
+}
+
+impl<'a> Descent<'a> {
+    /// The descent of `oms` over a graph with `n` nodes, `m` edges and total
+    /// node weight `total_weight`.
+    pub(crate) fn new(
+        oms: &'a OnlineMultiSection,
+        n: usize,
+        m: usize,
+        total_weight: NodeWeight,
+    ) -> Self {
         let tree = &oms.tree;
-        let n = stream.num_nodes();
-        let max_fan_out = (0..tree.num_nodes() as u32)
-            .map(|v| tree.children(v).len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        OmsState {
-            assignments: vec![UNASSIGNED; n],
-            node_weights: vec![0; n],
-            tree_weights: vec![0; tree.num_nodes()],
-            capacities: tree.capacities(stream.total_node_weight(), oms.config.epsilon),
-            alphas: tree.alphas(stream.num_edges(), n, oms.config.alpha_mode),
-            conn: vec![0; max_fan_out],
-            candidates: Vec::with_capacity(max_fan_out),
+        let config = &oms.config;
+        Descent {
+            tree,
+            capacities: tree.capacities(total_weight, config.epsilon),
+            alphas: tree.alphas(m, n, config.alpha_mode),
+            objective: match config.scorer {
+                ScorerKind::Ldg => FlatObjective::Ldg,
+                // Hashing never scores; the objective is unused.
+                ScorerKind::Fennel | ScorerKind::Hashing => FlatObjective::Fennel,
+            },
+            gamma: config.gamma,
+            seed: config.seed,
+            hashed_from: oms.hashed_from(),
+            max_fan_out: (0..tree.num_nodes() as u32)
+                .map(|v| tree.children(v).len())
+                .max()
+                .unwrap_or(0),
         }
     }
 
-    /// Routes one streamed node down the tree and records its assignment.
-    pub(crate) fn assign(&mut self, oms: &OnlineMultiSection, node: oms_graph::StreamedNode<'_>) {
-        let tree = &oms.tree;
+    /// The tree the descent routes through.
+    pub(crate) fn tree(&self) -> &'a MultisectionTree {
+        self.tree
+    }
+
+    /// Fresh scratch for one thread.
+    pub(crate) fn scratch(&self) -> DescentScratch {
+        DescentScratch {
+            below: Vec::new(),
+            conn: vec![0; self.max_fan_out],
+            bases: BaseCache::new(self.tree.num_nodes()),
+            scored: 0,
+        }
+    }
+
+    /// Routes `node` down the tree and returns its leaf block. Reads only:
+    /// the caller records the assignment and adds `weight` along
+    /// `path_of_block` of the result.
+    #[inline]
+    pub(crate) fn place<V: DescentView>(
+        &self,
+        scratch: &mut DescentScratch,
+        node: NodeId,
+        weight: NodeWeight,
+        neighbors: impl Iterator<Item = (NodeId, EdgeWeight)>,
+        view: &V,
+    ) -> BlockId {
+        let tree = self.tree;
+        let DescentScratch {
+            below,
+            conn,
+            bases,
+            scored,
+        } = scratch;
+        *scored += 1;
+        below.clear();
+        // Hashed levels sit at the bottom, so if the top level hashes, no
+        // level scores and the neighbours are never needed.
+        if self.hashed_from > 1 {
+            for (u, w) in neighbors {
+                let b = view.block_of(u);
+                if b != UNASSIGNED {
+                    below.push((b, w));
+                }
+            }
+        }
         let mut cur = tree.root();
+        let mut depth = 0usize;
         loop {
             let children = tree.children(cur);
             if children.is_empty() {
                 break;
             }
-            let child_depth = tree.depth(cur) as usize + 1;
-            let chosen_idx = if oms.hybrid_uses_hashing(child_depth) {
+            let chosen = if depth + 1 >= self.hashed_from {
                 // Mix the subproblem id into the seed so different
                 // subproblems shuffle nodes independently.
-                select_hashing(
-                    children.len(),
-                    node.node,
-                    oms.config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                )
+                let seed = self.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                select_hashing(children.len(), node, seed)
             } else {
-                self.score_children(oms, cur, children, &node)
+                // Children have consecutive ids, so the per-tree-node
+                // arrays are read as slices.
+                let (first, len) = (children[0] as usize, children.len());
+                let capacities = &self.capacities[first..first + len];
+                let alphas = &self.alphas[first..first + len];
+                let conn = &mut conn[..len];
+                for &(b, w) in below.iter() {
+                    conn[tree.child_index(tree.path_of_block(b)[depth]) as usize] += w;
+                }
+                let (objective, gamma) = (self.objective, self.gamma);
+                let chosen = select(
+                    len,
+                    weight,
+                    |i| view.load((first + i) as u32),
+                    |i| capacities[i],
+                    |i, load| {
+                        let base = bases.get(first + i, load, |w| {
+                            objective.base(w, capacities[i], alphas[i], gamma)
+                        });
+                        objective.combine(conn[i] as f64, base)
+                    },
+                );
+                // Reset the touched connectivities (O(neighbours), not
+                // O(fan-out)) and keep the neighbours below the chosen child,
+                // none past a leaf.
+                let next = children[chosen];
+                let descend = !tree.children(next).is_empty();
+                below.retain(|&(b, _)| {
+                    let child = tree.path_of_block(b)[depth];
+                    conn[tree.child_index(child) as usize] = 0;
+                    descend && child == next
+                });
+                chosen
             };
-            let chosen = children[chosen_idx];
-            self.tree_weights[chosen as usize] += node.weight;
-            cur = chosen;
+            cur = children[chosen];
+            depth += 1;
         }
-        let block = tree
-            .leaf_block(cur)
-            .expect("descent always terminates at a leaf");
-        self.assignments[node.node as usize] = block;
-        self.node_weights[node.node as usize] = node.weight;
-    }
-
-    /// Scores the children of `cur` for `node` and returns the index of the
-    /// selected child.
-    fn score_children(
-        &mut self,
-        oms: &OnlineMultiSection,
-        cur: u32,
-        children: &[u32],
-        node: &oms_graph::StreamedNode<'_>,
-    ) -> usize {
-        let tree = &oms.tree;
-        let path_index = tree.depth(cur) as usize;
-        // Connectivity of the streamed node towards each candidate child:
-        // a neighbor assigned to block b contributes to the child that lies
-        // on b's tree path, provided b is below `cur` at all.
-        self.conn[..children.len()].fill(0);
-        for (u, w) in node.neighbors_weighted() {
-            let b = self.assignments[u as usize];
-            if b == UNASSIGNED {
-                continue;
-            }
-            let path = tree.path_of_block(b);
-            if path.len() <= path_index {
-                continue;
-            }
-            if path_index > 0 && path[path_index - 1] != cur {
-                continue;
-            }
-            let child = path[path_index];
-            self.conn[tree.child_index(child) as usize] += w;
-        }
-
-        self.candidates.clear();
-        for (i, &child) in children.iter().enumerate() {
-            self.candidates.push(Candidate {
-                weight: self.tree_weights[child as usize],
-                capacity: self.capacities[child as usize],
-                connectivity: self.conn[i],
-                alpha: self.alphas[child as usize],
-            });
-        }
-        match oms.config.scorer {
-            ScorerKind::Fennel => select_fennel(&self.candidates, node.weight, oms.config.gamma),
-            ScorerKind::Ldg => select_ldg(&self.candidates, node.weight),
-            ScorerKind::Hashing => unreachable!("handled by hybrid_uses_hashing"),
-        }
-    }
-
-    /// Removes a node's previous assignment along its whole tree path
-    /// (used by restreaming passes).
-    pub(crate) fn unassign(&mut self, tree: &MultisectionTree, node: oms_graph::NodeId) {
-        let b = self.assignments[node as usize];
-        if b == UNASSIGNED {
-            return;
-        }
-        let w = self.node_weights[node as usize];
-        for &tree_node in tree.path_of_block(b) {
-            self.tree_weights[tree_node as usize] -= w;
-        }
-        self.assignments[node as usize] = UNASSIGNED;
-    }
-
-    pub(crate) fn into_partition(self, k: u32) -> Partition {
-        Partition::from_assignments(k, self.assignments, &self.node_weights)
-    }
-
-    /// Replaces the assignment array and rebuilds every tree-node weight
-    /// along the blocks' paths (the executor's revert-on-worsen guard).
-    pub(crate) fn restore(&mut self, tree: &MultisectionTree, assignments: &[BlockId]) {
-        self.assignments.copy_from_slice(assignments);
-        self.tree_weights.fill(0);
-        for (v, &b) in self.assignments.iter().enumerate() {
-            if b == UNASSIGNED {
-                continue;
-            }
-            let w = self.node_weights[v];
-            for &tree_node in tree.path_of_block(b) {
-                self.tree_weights[tree_node as usize] += w;
-            }
-        }
+        tree.leaf_block(cur)
+            .expect("descent always terminates at a leaf")
     }
 }
 
-/// The multi-section descent as a [`NodeSink`]. From the second pass on
-/// (restreaming / remapping), each node's previous assignment is removed
-/// along its whole tree path before the descent is re-run.
+/// The multi-section descent as a [`NodeSink`]: the sequential view of
+/// the assignments and tree-node weights (Lemma 1: `O(k)` of them). From
+/// the second pass on (restreaming / remapping), each node's previous
+/// assignment is removed along its whole tree path before the descent is
+/// re-run.
 pub(crate) struct OmsSink<'a> {
-    oms: &'a OnlineMultiSection,
-    state: OmsState,
+    descent: Descent<'a>,
+    scratch: DescentScratch,
+    assignments: Vec<BlockId>,
+    node_weights: Vec<NodeWeight>,
+    tree_weights: Vec<NodeWeight>,
     restreaming: bool,
 }
 
 impl<'a> OmsSink<'a> {
     pub(crate) fn new<S: NodeStream>(oms: &'a OnlineMultiSection, stream: &S) -> Self {
+        let n = stream.num_nodes();
+        let descent = Descent::new(oms, n, stream.num_edges(), stream.total_node_weight());
         OmsSink {
-            oms,
-            state: OmsState::new(oms, stream),
+            scratch: descent.scratch(),
+            descent,
+            assignments: vec![UNASSIGNED; n],
+            node_weights: vec![0; n],
+            tree_weights: vec![0; oms.tree.num_nodes()],
             restreaming: false,
         }
     }
 
     pub(crate) fn into_partition(self) -> Partition {
-        self.state.into_partition(self.oms.tree.num_blocks())
+        let k = self.descent.tree.num_blocks();
+        Partition::from_assignments(k, self.assignments, &self.node_weights)
+    }
+
+    /// Adds `w` to every tree node on the path of `block` (subtracts it
+    /// when `remove`).
+    fn add_along_path(&mut self, block: BlockId, w: NodeWeight, remove: bool) {
+        for &tree_node in self.descent.tree.path_of_block(block) {
+            let slot = &mut self.tree_weights[tree_node as usize];
+            *slot = if remove { *slot - w } else { *slot + w };
+        }
     }
 }
 
@@ -266,22 +367,47 @@ impl NodeSink for OmsSink<'_> {
     }
 
     fn process(&mut self, node: oms_graph::StreamedNode<'_>) {
-        if self.restreaming {
-            self.state.unassign(self.oms.tree(), node.node);
+        let v = node.node as usize;
+        if self.restreaming && self.assignments[v] != UNASSIGNED {
+            self.add_along_path(self.assignments[v], self.node_weights[v], true);
+            self.assignments[v] = UNASSIGNED;
         }
-        self.state.assign(self.oms, node);
+        let view = (&self.assignments[..], &self.tree_weights[..]);
+        let block = self.descent.place(
+            &mut self.scratch,
+            node.node,
+            node.weight,
+            node.neighbors_weighted(),
+            &view,
+        );
+        self.add_along_path(block, node.weight, false);
+        self.assignments[v] = block;
+        self.node_weights[v] = node.weight;
+    }
+
+    fn end_pass(&mut self, _pass: usize) {
+        let scored = std::mem::take(&mut self.scratch.scored);
+        oms_obs::counter_add(oms_obs::CounterId::NodesScored, scored);
     }
 
     fn assignments(&self) -> Option<&[BlockId]> {
-        Some(&self.state.assignments)
+        Some(&self.assignments)
     }
 
     fn num_blocks(&self) -> u32 {
-        self.oms.tree.num_blocks()
+        self.descent.tree.num_blocks()
     }
 
+    /// Replaces the assignment array and rebuilds every tree-node weight
+    /// along the blocks' paths (the executor's revert-on-worsen guard).
     fn restore(&mut self, assignments: &[BlockId]) -> bool {
-        self.state.restore(self.oms.tree(), assignments);
+        self.assignments.copy_from_slice(assignments);
+        self.tree_weights.fill(0);
+        for v in 0..self.assignments.len() {
+            if self.assignments[v] != UNASSIGNED {
+                self.add_along_path(self.assignments[v], self.node_weights[v], false);
+            }
+        }
         true
     }
 }
@@ -453,9 +579,14 @@ mod tests {
             OnlineMultiSection::with_hierarchy(h, OmsConfig::default().hashing_bottom_layers(2));
         // Tree depth 3: the decision at child depth 1 (top layer) stays with
         // Fennel, the ones at depths 2 and 3 use Hashing.
-        assert!(!oms.hybrid_uses_hashing(1));
-        assert!(oms.hybrid_uses_hashing(2));
-        assert!(oms.hybrid_uses_hashing(3));
+        assert_eq!(oms.hashed_from(), 2);
+        let all = OnlineMultiSection::with_hierarchy(
+            HierarchySpec::parse("2:2:2").unwrap(),
+            OmsConfig::default().hashing_bottom_layers(5),
+        );
+        assert_eq!(all.hashed_from(), 1);
+        let none = OnlineMultiSection::flat(8, OmsConfig::default()).unwrap();
+        assert_eq!(none.hashed_from(), none.tree().max_depth() + 1);
     }
 
     #[test]

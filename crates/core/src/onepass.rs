@@ -11,7 +11,7 @@
 use crate::config::OnePassConfig;
 use crate::executor::{BatchExecutor, NodeSink, PassTrajectory};
 use crate::partition::{Partition, UNASSIGNED};
-use crate::scorer::{fennel_alpha, hash_node};
+use crate::scorer::{fennel_alpha, hash_node, select};
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, InMemoryStream, NodeStream, NodeWeight};
 
@@ -500,53 +500,18 @@ impl FlatState {
         self.touched.clear();
     }
 
-    /// The max-score feasible block (ties: lighter, then lower index), or
-    /// the least relatively loaded block when no block can take the node.
-    /// The select loop is branch-free in its hot comparisons: the score is
-    /// computed for infeasible blocks too (the value is never used) and the
-    /// running best is updated with conditional moves.
+    /// The shared [`select`] over all `k` blocks, scored from the eager
+    /// `score_base` arena.
     #[inline(always)]
     fn select_block<C: Fn(usize) -> u64>(&self, node_weight: NodeWeight, conn_of: C) -> usize {
-        let k = self.block_weights.len();
         let objective = self.objective;
-        let mut has_best = false;
-        let mut best_b = 0usize;
-        let mut best_s = 0.0f64;
-        let mut best_w: NodeWeight = 0;
-        for b in 0..k {
-            let weight = self.block_weights[b];
-            let conn = conn_of(b) as f64;
-            let s = objective.combine(conn, self.score_base[b]);
-            let feasible = weight + node_weight <= self.capacity;
-            let better = feasible && (!has_best || s > best_s || (s == best_s && weight < best_w));
-            best_b = if better { b } else { best_b };
-            best_s = if better { s } else { best_s };
-            best_w = if better { weight } else { best_w };
-            has_best |= better;
-        }
-        if has_best {
-            best_b
-        } else {
-            self.least_loaded_block()
-        }
-    }
-
-    /// The fallback target when every block is over capacity: the block with
-    /// the smallest relative load, compared in `f64` exactly like the
-    /// original inline scan (a `u64` weight compare could order differently
-    /// for loads that round to the same double).
-    fn least_loaded_block(&self) -> usize {
-        let cap = self.capacity.max(1) as f64;
-        let mut fallback = 0usize;
-        let mut fallback_load = f64::INFINITY;
-        for (b, &weight) in self.block_weights.iter().enumerate() {
-            let load = weight as f64 / cap;
-            if load < fallback_load {
-                fallback_load = load;
-                fallback = b;
-            }
-        }
-        fallback
+        select(
+            self.block_weights.len(),
+            node_weight,
+            |b| self.block_weights[b],
+            |_| self.capacity,
+            |b, _| objective.combine(conn_of(b) as f64, self.score_base[b]),
+        )
     }
 
     /// Records the assignment and refreshes the chosen block's penalty.

@@ -1,79 +1,37 @@
 //! Shared-memory parallelisation (§3.4 of the paper).
 //!
-//! All streaming algorithms in this crate are vertex-centric, so they are
-//! parallelised by splitting the stream of nodes among threads. The paper's
-//! OpenMP `parallel for` becomes the batch executor's parallel dispatch
-//! ([`BatchExecutor::run_parallel`]): contiguous node chunks balanced by
-//! *edge mass* rather than node count, so skewed degree distributions do not
-//! starve some threads while a hub-heavy chunk hogs another. This module
-//! only contains the scoring kernels; chunking and pool management live in
-//! [`crate::executor`]. The only shared mutable state are
+//! The descent that places every node ([`crate::oms`]) is vertex-centric,
+//! so it is parallelised by splitting the stream of nodes among threads.
+//! The paper's OpenMP `parallel for` becomes the batch executor's parallel
+//! dispatch ([`BatchExecutor::run_parallel`]): contiguous node chunks
+//! balanced by *edge mass* rather than node count, so skewed degree
+//! distributions do not starve some threads while a hub-heavy chunk hogs
+//! another. Each chunk runs the same read-only descent as the sequential
+//! sink, with per-thread scratch and base cache, over an atomic view of
+//! the shared state:
 //!
-//! * the block (or tree-node) weights, updated with atomic additions so that
-//!   the balance constraint stays consistent, and
+//! * the tree-node weights, updated with atomic additions so that the
+//!   balance constraint stays consistent, and
 //! * the assignment array, written once per node by exactly one thread and
 //!   read (racily but harmlessly) by the others when they look up the blocks
 //!   of already-streamed neighbors.
 //!
-//! As in the paper, a block could in principle be overloaded if several
-//! threads decide to use its last free slot simultaneously; this is rare and
+//! Threaded flat Fennel/LDG is the same driver over a one-level tree. As in
+//! the paper, a block could in principle be overloaded if several threads
+//! decide to use its last free slot simultaneously; this is rare and
 //! deliberately not synchronised.
 
-use crate::config::{OmsConfig, OnePassConfig, ScorerKind};
+use crate::config::OnePassConfig;
 use crate::executor::{
     measure_pass, BatchExecutor, PassOutcome, PassTracker, PassTrajectory, RestreamOptions,
 };
-use crate::oms::OnlineMultiSection;
-use crate::onepass::FlatObjective;
+use crate::oms::{Descent, OnlineMultiSection};
 use crate::partition::{Partition, UNASSIGNED};
-use crate::scorer::{fennel_alpha, hash_node};
+use crate::scorer::hash_node;
 use crate::{BlockId, Result};
-use oms_graph::{CsrGraph, EdgeWeight, InMemoryStream, NodeWeight};
+use oms_graph::{CsrGraph, InMemoryStream};
 use oms_obs::Stopwatch;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-
-fn collect_partition(
-    k: u32,
-    assignments: Vec<AtomicU32>,
-    node_weights: &[NodeWeight],
-) -> Partition {
-    let assignments: Vec<BlockId> = assignments.into_iter().map(|a| a.into_inner()).collect();
-    Partition::from_assignments(k, assignments, node_weights)
-}
-
-/// One tracked pass of a parallel restreaming driver: snapshot the atomic
-/// assignment array, measure it on the in-memory graph, and let the shared
-/// [`PassTracker`] apply the engine's accept / converge / revert rules.
-/// `restore` puts a snapshot back into the kernel's atomic state. Returns
-/// `true` when the pass loop should stop.
-#[allow(clippy::too_many_arguments)]
-fn track_parallel_pass(
-    graph: &CsrGraph,
-    assignments: &[AtomicU32],
-    num_blocks: u32,
-    last_pass: bool,
-    moved: usize,
-    seconds: f64,
-    tracker: &mut PassTracker,
-    restore: &mut dyn FnMut(&[BlockId]),
-) -> Result<bool> {
-    let snapshot: Vec<BlockId> = assignments
-        .iter()
-        .map(|a| a.load(Ordering::Relaxed))
-        .collect();
-    let (edge_cut, imbalance) =
-        measure_pass(&mut InMemoryStream::new(graph), &snapshot, num_blocks)?;
-    Ok(
-        match tracker.observe(last_pass, moved, seconds, edge_cut, imbalance, &snapshot) {
-            PassOutcome::Continue => false,
-            PassOutcome::Stop => true,
-            PassOutcome::Revert(best) => {
-                restore(&best);
-                true
-            }
-        },
-    )
-}
 
 /// Parallel Hashing: embarrassingly parallel, provided for the scalability
 /// comparison (it is so cheap that parallel overheads dominate, exactly as
@@ -98,200 +56,6 @@ pub fn hashing_parallel(
     ))
 }
 
-/// Per-thread cache of the pre-evaluated per-block penalty bases — the
-/// parallel counterpart of the sequential `score_base` arena. The penalty
-/// ([`FlatObjective::base`]) is a pure function of the block's load, so an
-/// entry is recomputed only when the atomically-read load differs from the
-/// cached one: one `powf` per observed load change instead of `k` per node,
-/// with bit-identical scores.
-struct CachedBases {
-    weights: Vec<NodeWeight>,
-    bases: Vec<f64>,
-}
-
-impl CachedBases {
-    fn new(len: usize) -> Self {
-        CachedBases {
-            // `NodeWeight::MAX` never matches a real load, so every entry is
-            // computed on first use.
-            weights: vec![NodeWeight::MAX; len],
-            bases: vec![0.0; len],
-        }
-    }
-
-    #[inline(always)]
-    fn get(
-        &mut self,
-        idx: usize,
-        weight: NodeWeight,
-        objective: FlatObjective,
-        capacity: NodeWeight,
-        alpha: f64,
-        gamma: f64,
-    ) -> f64 {
-        if self.weights[idx] != weight {
-            self.weights[idx] = weight;
-            self.bases[idx] = objective.base(weight, capacity, alpha, gamma);
-        }
-        self.bases[idx]
-    }
-}
-
-/// Parallel flat one-pass partitioning (Fennel or LDG) with the
-/// vertex-centric scheme of §3.4.
-pub fn onepass_parallel(
-    graph: &CsrGraph,
-    k: u32,
-    scorer: FlatObjective,
-    config: OnePassConfig,
-    threads: usize,
-) -> Result<Partition> {
-    onepass_parallel_restream(graph, k, scorer, config, threads, 1, 0.0, false).map(|(p, _)| p)
-}
-
-/// Multi-pass parallel flat partitioning: up to `passes` vertex-centric
-/// parallel passes; from the second pass on each node is unassigned (its
-/// weight atomically removed from its block) before being re-scored against
-/// the previous pass's assignment.
-///
-/// Per-pass quality is measured on the in-memory graph with the same
-/// early-exit rules as the sequential engine: the loop stops once no node
-/// moved, once the relative cut improvement drops below `convergence`, and
-/// a pass that worsened the cut is reverted. With `threads > 1` the node
-/// moves inside one pass are racy (the paper's relaxation), so the
-/// trajectory — while always non-increasing — is not deterministic.
-#[allow(clippy::too_many_arguments)]
-pub fn onepass_parallel_restream(
-    graph: &CsrGraph,
-    k: u32,
-    scorer: FlatObjective,
-    config: OnePassConfig,
-    threads: usize,
-    passes: usize,
-    convergence: f64,
-    tracked: bool,
-) -> Result<(Partition, PassTrajectory)> {
-    let n = graph.num_nodes();
-    let passes = passes.max(1);
-    let capacity = Partition::capacity(graph.total_node_weight(), k, config.epsilon);
-    let alpha = fennel_alpha(k, graph.num_edges(), n);
-    let gamma = config.gamma;
-
-    let assignments: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNASSIGNED)).collect();
-    let block_weights: Vec<AtomicU64> = (0..k as usize).map(|_| AtomicU64::new(0)).collect();
-    let mut tracker = PassTracker::new(RestreamOptions::tracked(passes, convergence));
-    let measure = tracked || passes > 1;
-
-    for pass in 0..passes {
-        let moved = AtomicUsize::new(0);
-        let clock = Stopwatch::start();
-        BatchExecutor::default().run_parallel(graph, threads, |lo, hi| {
-            let mut conn: Vec<EdgeWeight> = vec![0; k as usize];
-            let mut touched: Vec<BlockId> = Vec::new();
-            let mut bases = CachedBases::new(k as usize);
-            let mut local_moved = 0usize;
-            for v in lo..hi {
-                let node_weight = graph.node_weight(v);
-                let old = if pass > 0 {
-                    // Restreaming: *publish* the unassignment (an atomic swap
-                    // on the slot) before removing the weight, so a scoring
-                    // thread that still sees the node in its block also still
-                    // sees its weight in the load vector — the load may be
-                    // transiently overstated, never understated.
-                    let prev = assignments[v as usize].swap(UNASSIGNED, Ordering::AcqRel);
-                    if prev != UNASSIGNED {
-                        block_weights[prev as usize].fetch_sub(node_weight, Ordering::AcqRel);
-                    }
-                    prev
-                } else {
-                    assignments[v as usize].load(Ordering::Relaxed)
-                };
-                for (u, w) in graph.neighbors_weighted(v) {
-                    let b = assignments[u as usize].load(Ordering::Acquire);
-                    if b != UNASSIGNED {
-                        if conn[b as usize] == 0 {
-                            touched.push(b);
-                        }
-                        conn[b as usize] += w;
-                    }
-                }
-                let mut best: Option<(usize, f64, NodeWeight)> = None;
-                let mut fallback = 0usize;
-                let mut fallback_load = f64::INFINITY;
-                for b in 0..k as usize {
-                    let weight = block_weights[b].load(Ordering::Acquire);
-                    let load = weight as f64 / capacity.max(1) as f64;
-                    if load < fallback_load {
-                        fallback_load = load;
-                        fallback = b;
-                    }
-                    if weight + node_weight > capacity {
-                        continue;
-                    }
-                    let base = bases.get(b, weight, scorer, capacity, alpha, gamma);
-                    let s = scorer.combine(conn[b] as f64, base);
-                    match best {
-                        None => best = Some((b, s, weight)),
-                        Some((_, bs, bw)) => {
-                            if s > bs || (s == bs && weight < bw) {
-                                best = Some((b, s, weight));
-                            }
-                        }
-                    }
-                }
-                let chosen = best.map(|(b, _, _)| b).unwrap_or(fallback);
-                // Mirror image of the unassignment: stage the weight first,
-                // then publish the assignment.
-                block_weights[chosen].fetch_add(node_weight, Ordering::AcqRel);
-                assignments[v as usize].store(chosen as BlockId, Ordering::Release);
-                if chosen as BlockId != old {
-                    local_moved += 1;
-                }
-                for &b in &touched {
-                    conn[b as usize] = 0;
-                }
-                touched.clear();
-            }
-            if local_moved > 0 {
-                moved.fetch_add(local_moved, Ordering::Relaxed);
-            }
-        });
-        let seconds = clock.seconds();
-
-        if measure {
-            let mut restore = |snapshot: &[BlockId]| {
-                for w in &block_weights {
-                    w.store(0, Ordering::Relaxed);
-                }
-                for (v, &b) in snapshot.iter().enumerate() {
-                    assignments[v].store(b, Ordering::Relaxed);
-                    if b != UNASSIGNED {
-                        block_weights[b as usize]
-                            .fetch_add(graph.node_weight(v as u32), Ordering::Relaxed);
-                    }
-                }
-            };
-            let stop = track_parallel_pass(
-                graph,
-                &assignments,
-                k,
-                pass + 1 == passes,
-                moved.into_inner(),
-                seconds,
-                &mut tracker,
-                &mut restore,
-            )?;
-            if stop {
-                break;
-            }
-        }
-    }
-    Ok((
-        collect_partition(k, assignments, graph.node_weights()),
-        tracker.finish(),
-    ))
-}
-
 impl OnlineMultiSection {
     /// Shared-memory parallel OMS / nh-OMS over an in-memory graph.
     ///
@@ -307,9 +71,12 @@ impl OnlineMultiSection {
     /// Multi-pass parallel OMS: up to `passes` parallel passes; from the
     /// second pass on, a node's weight is removed along its whole tree path
     /// before the descent is re-run against the previous pass's assignment
-    /// (restreaming / remapping). Per-pass quality tracking, convergence
-    /// early exit and the revert-on-worsen guard follow the sequential
-    /// engine ([`BatchExecutor::run_restream`]).
+    /// (restreaming / remapping). Per-pass quality is measured on the
+    /// in-memory graph, and the shared [`PassTracker`] applies the
+    /// sequential engine's convergence early exit and revert-on-worsen
+    /// guard ([`BatchExecutor::run_restream`]). With `threads > 1` the moves
+    /// inside one pass are racy, so the trajectory — while always
+    /// non-increasing — is not deterministic.
     pub fn partition_graph_parallel_restream(
         &self,
         graph: &CsrGraph,
@@ -319,45 +86,40 @@ impl OnlineMultiSection {
         tracked: bool,
     ) -> Result<(Partition, PassTrajectory)> {
         let tree = self.tree();
-        let config: &OmsConfig = self.config();
         let n = graph.num_nodes();
         let passes = passes.max(1);
-        let capacities = tree.capacities(graph.total_node_weight(), config.epsilon);
-        let alphas = tree.alphas(graph.num_edges(), n, config.alpha_mode);
-        let max_fan_out = (0..tree.num_nodes() as u32)
-            .map(|v| tree.children(v).len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let descent = Descent::new(self, n, graph.num_edges(), graph.total_node_weight());
 
         let assignments: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNASSIGNED)).collect();
         let tree_weights: Vec<AtomicU64> =
             (0..tree.num_nodes()).map(|_| AtomicU64::new(0)).collect();
         let mut tracker = PassTracker::new(RestreamOptions::tracked(passes, convergence));
-        let measure = tracked || passes > 1;
 
         for pass in 0..passes {
-            let moved = AtomicUsize::new(0);
             let clock = Stopwatch::start();
-            self.parallel_pass(
-                graph,
-                threads,
-                pass,
-                &assignments,
-                &tree_weights,
-                &capacities,
-                &alphas,
-                max_fan_out,
-                &moved,
-            );
+            let moved = parallel_pass(graph, threads, pass, &descent, &assignments, &tree_weights);
             let seconds = clock.seconds();
-
-            if measure {
-                let mut restore = |snapshot: &[BlockId]| {
+            if !tracked && passes == 1 {
+                break;
+            }
+            let snapshot: Vec<BlockId> = assignments
+                .iter()
+                .map(|a| a.load(Ordering::Relaxed))
+                .collect();
+            let (edge_cut, imbalance) = measure_pass(
+                &mut InMemoryStream::new(graph),
+                &snapshot,
+                tree.num_blocks(),
+            )?;
+            let last = pass + 1 == passes;
+            match tracker.observe(last, moved, seconds, edge_cut, imbalance, &snapshot) {
+                PassOutcome::Continue => {}
+                PassOutcome::Stop => break,
+                PassOutcome::Revert(best) => {
                     for w in &tree_weights {
                         w.store(0, Ordering::Relaxed);
                     }
-                    for (v, &b) in snapshot.iter().enumerate() {
+                    for (v, &b) in best.iter().enumerate() {
                         assignments[v].store(b, Ordering::Relaxed);
                         if b == UNASSIGNED {
                             continue;
@@ -367,166 +129,93 @@ impl OnlineMultiSection {
                             tree_weights[tree_node as usize].fetch_add(w, Ordering::Relaxed);
                         }
                     }
-                };
-                let stop = track_parallel_pass(
-                    graph,
-                    &assignments,
-                    tree.num_blocks(),
-                    pass + 1 == passes,
-                    moved.into_inner(),
-                    seconds,
-                    &mut tracker,
-                    &mut restore,
-                )?;
-                if stop {
                     break;
                 }
             }
         }
+        let assignments = assignments.into_iter().map(AtomicU32::into_inner).collect();
         Ok((
-            collect_partition(tree.num_blocks(), assignments, graph.node_weights()),
+            Partition::from_assignments(tree.num_blocks(), assignments, graph.node_weights()),
             tracker.finish(),
         ))
     }
+}
 
-    /// One vertex-centric parallel pass of the multi-section descent.
-    #[allow(clippy::too_many_arguments)]
-    fn parallel_pass(
-        &self,
-        graph: &CsrGraph,
-        threads: usize,
-        pass: usize,
-        assignments: &[AtomicU32],
-        tree_weights: &[AtomicU64],
-        capacities: &[NodeWeight],
-        alphas: &[f64],
-        max_fan_out: usize,
-        moved: &AtomicUsize,
-    ) {
-        let tree = self.tree();
-        let config: &OmsConfig = self.config();
-        BatchExecutor::default().run_parallel(graph, threads, |lo, hi| {
-            let mut conn: Vec<EdgeWeight> = vec![0; max_fan_out];
-            let mut bases = CachedBases::new(tree.num_nodes());
-            let mut local_moved = 0usize;
-            for v in lo..hi {
-                let node_weight = graph.node_weight(v);
-                let old = if pass > 0 {
-                    // Restreaming: publish the unassignment (swap on the
-                    // slot) before removing the node along its previous tree
-                    // path, so concurrently-read tree weights are only ever
-                    // overstated mid-move, never understated.
-                    let prev = assignments[v as usize].swap(UNASSIGNED, Ordering::AcqRel);
-                    if prev != UNASSIGNED {
-                        for &tree_node in tree.path_of_block(prev) {
-                            tree_weights[tree_node as usize]
-                                .fetch_sub(node_weight, Ordering::AcqRel);
-                        }
+/// One vertex-centric parallel pass of the multi-section descent. Returns
+/// the number of nodes whose block changed.
+fn parallel_pass(
+    graph: &CsrGraph,
+    threads: usize,
+    pass: usize,
+    descent: &Descent<'_>,
+    assignments: &[AtomicU32],
+    tree_weights: &[AtomicU64],
+) -> usize {
+    let tree = descent.tree();
+    let moved = AtomicUsize::new(0);
+    let scored = AtomicU64::new(0);
+    BatchExecutor::default().run_parallel(graph, threads, |lo, hi| {
+        let mut scratch = descent.scratch();
+        let view = (assignments, tree_weights);
+        let mut local_moved = 0usize;
+        for v in lo..hi {
+            let node_weight = graph.node_weight(v);
+            let old = if pass > 0 {
+                // Restreaming: publish the unassignment (swap on the slot)
+                // before removing the node along its previous tree path, so
+                // concurrently-read tree weights are only ever overstated
+                // mid-move, never understated.
+                let prev = assignments[v as usize].swap(UNASSIGNED, Ordering::AcqRel);
+                if prev != UNASSIGNED {
+                    for &tree_node in tree.path_of_block(prev) {
+                        tree_weights[tree_node as usize].fetch_sub(node_weight, Ordering::AcqRel);
                     }
-                    prev
-                } else {
-                    assignments[v as usize].load(Ordering::Relaxed)
-                };
-                let mut cur = tree.root();
-                loop {
-                    let children = tree.children(cur);
-                    if children.is_empty() {
-                        break;
-                    }
-                    let child_depth = tree.depth(cur) as usize + 1;
-                    let chosen_idx = if self.hybrid_uses_hashing(child_depth) {
-                        (hash_node(
-                            v,
-                            config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                        ) % children.len() as u64) as usize
-                    } else {
-                        let path_index = tree.depth(cur) as usize;
-                        conn[..children.len()].fill(0);
-                        for (u, w) in graph.neighbors_weighted(v) {
-                            let b = assignments[u as usize].load(Ordering::Relaxed);
-                            if b == UNASSIGNED {
-                                continue;
-                            }
-                            let path = tree.path_of_block(b);
-                            if path.len() <= path_index {
-                                continue;
-                            }
-                            if path_index > 0 && path[path_index - 1] != cur {
-                                continue;
-                            }
-                            conn[tree.child_index(path[path_index]) as usize] += w;
-                        }
-                        let mut best: Option<(usize, f64, NodeWeight)> = None;
-                        let mut fallback = 0usize;
-                        let mut fallback_load = f64::INFINITY;
-                        let objective = match config.scorer {
-                            ScorerKind::Fennel => FlatObjective::Fennel,
-                            ScorerKind::Ldg => FlatObjective::Ldg,
-                            ScorerKind::Hashing => unreachable!(),
-                        };
-                        for (i, &child) in children.iter().enumerate() {
-                            let weight = tree_weights[child as usize].load(Ordering::Acquire);
-                            let capacity = capacities[child as usize];
-                            let load = weight as f64 / capacity.max(1) as f64;
-                            if load < fallback_load {
-                                fallback_load = load;
-                                fallback = i;
-                            }
-                            if weight + node_weight > capacity {
-                                continue;
-                            }
-                            // Tree-node-indexed cache: each tree node has its
-                            // own fixed capacity and α, so the cached base is
-                            // a pure function of its observed load.
-                            let alpha = match objective {
-                                FlatObjective::Fennel => alphas[child as usize],
-                                FlatObjective::Ldg => 0.0,
-                            };
-                            let base = bases.get(
-                                child as usize,
-                                weight,
-                                objective,
-                                capacity,
-                                alpha,
-                                config.gamma,
-                            );
-                            let s = objective.combine(conn[i] as f64, base);
-                            match best {
-                                None => best = Some((i, s, weight)),
-                                Some((_, bs, bw)) => {
-                                    if s > bs || (s == bs && weight < bw) {
-                                        best = Some((i, s, weight));
-                                    }
-                                }
-                            }
-                        }
-                        best.map(|(i, _, _)| i).unwrap_or(fallback)
-                    };
-                    let chosen = children[chosen_idx];
-                    // Stage the weight along the path before the assignment
-                    // is published below.
-                    tree_weights[chosen as usize].fetch_add(node_weight, Ordering::AcqRel);
-                    cur = chosen;
                 }
-                let block = tree.leaf_block(cur).expect("descent ends at a leaf");
-                assignments[v as usize].store(block, Ordering::Release);
-                if block != old {
-                    local_moved += 1;
-                }
+                prev
+            } else {
+                UNASSIGNED
+            };
+            let block = descent.place(
+                &mut scratch,
+                v,
+                node_weight,
+                graph.neighbors_weighted(v),
+                &view,
+            );
+            // Mirror image of the unassignment: stage the weight along the
+            // leaf's path, then publish the assignment.
+            for &tree_node in tree.path_of_block(block) {
+                tree_weights[tree_node as usize].fetch_add(node_weight, Ordering::AcqRel);
             }
-            if local_moved > 0 {
-                moved.fetch_add(local_moved, Ordering::Relaxed);
+            assignments[v as usize].store(block, Ordering::Release);
+            if block != old {
+                local_moved += 1;
             }
-        });
-    }
+        }
+        moved.fetch_add(local_moved, Ordering::Relaxed);
+        scored.fetch_add(scratch.scored, Ordering::Relaxed);
+    });
+    // The observer slot is thread-local: the per-thread tallies reach it
+    // from the driver thread.
+    oms_obs::counter_add(oms_obs::CounterId::NodesScored, scored.into_inner());
+    moved.into_inner()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::onepass::{Fennel, StreamingPartitioner};
-    use crate::{HierarchySpec, OmsConfig};
+    use crate::onepass::{Fennel, FlatObjective, Ldg, StreamingPartitioner};
+    use crate::restream::{ReFennel, ReOms};
+    use crate::{HierarchySpec, OmsConfig, ScorerKind};
     use oms_gen::planted_partition;
+
+    fn one_level(k: u32, objective: FlatObjective) -> OnlineMultiSection {
+        OnlineMultiSection::one_level(k, OnePassConfig::default(), objective).unwrap()
+    }
+
+    fn hierarchy(spec: &str, config: OmsConfig) -> OnlineMultiSection {
+        OnlineMultiSection::with_hierarchy(HierarchySpec::parse(spec).unwrap(), config)
+    }
 
     #[test]
     fn parallel_hashing_matches_sequential_hashing() {
@@ -543,8 +232,9 @@ mod tests {
     #[test]
     fn parallel_fennel_produces_valid_balanced_partition() {
         let g = planted_partition(600, 8, 0.1, 0.005, 5);
-        let p =
-            onepass_parallel(&g, 8, FlatObjective::Fennel, OnePassConfig::default(), 4).unwrap();
+        let p = one_level(8, FlatObjective::Fennel)
+            .partition_graph_parallel(&g, 4)
+            .unwrap();
         assert_eq!(p.num_nodes(), 600);
         assert!(p.validate(&vec![1; 600]));
         assert!(p.imbalance() < 0.1, "imbalance {}", p.imbalance());
@@ -553,36 +243,99 @@ mod tests {
     #[test]
     fn parallel_ldg_produces_valid_partition() {
         let g = planted_partition(400, 8, 0.1, 0.01, 7);
-        let p = onepass_parallel(&g, 8, FlatObjective::Ldg, OnePassConfig::default(), 3).unwrap();
+        let p = one_level(8, FlatObjective::Ldg)
+            .partition_graph_parallel(&g, 3)
+            .unwrap();
         assert_eq!(p.num_nodes(), 400);
         assert!(p.imbalance() < 0.2);
     }
 
     #[test]
-    fn parallel_fennel_single_thread_matches_sequential() {
+    fn single_thread_matches_the_sequential_kernel() {
         // With one thread the chunked driver processes nodes in natural
-        // order, so it must coincide with the sequential implementation.
+        // order, so the threaded descent must coincide with the sequential
+        // kernel of every row: the descent over hierarchy, irregular,
+        // hybrid and LDG trees, and the flat state for Fennel/LDG.
         let g = planted_partition(300, 8, 0.12, 0.01, 9);
         let cfg = OnePassConfig::default();
-        let seq = Fennel::new(8, cfg).partition_graph(&g).unwrap();
-        let par = onepass_parallel(&g, 8, FlatObjective::Fennel, cfg, 1).unwrap();
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn parallel_oms_single_thread_matches_sequential() {
-        let g = planted_partition(300, 8, 0.12, 0.01, 11);
-        let oms = crate::OnlineMultiSection::flat(8, OmsConfig::default()).unwrap();
-        let seq = oms.partition_graph(&g).unwrap();
-        let par = oms.partition_graph_parallel(&g, 1).unwrap();
-        assert_eq!(seq, par);
+        let threaded = |oms: &OnlineMultiSection| oms.partition_graph_parallel(&g, 1).unwrap();
+        let descent = |oms: OnlineMultiSection| (oms.partition_graph(&g).unwrap(), threaded(&oms));
+        let rows = [
+            (
+                "oms 4:4:4",
+                descent(hierarchy("4:4:4", OmsConfig::default())),
+            ),
+            (
+                "nh-oms 8",
+                descent(OnlineMultiSection::flat(8, OmsConfig::default()).unwrap()),
+            ),
+            (
+                "nh-oms 37",
+                descent(OnlineMultiSection::flat(37, OmsConfig::default()).unwrap()),
+            ),
+            (
+                "oms 2:2:2, hybrid=1",
+                descent(hierarchy(
+                    "2:2:2",
+                    OmsConfig::default().hashing_bottom_layers(1),
+                )),
+            ),
+            (
+                "oms 4:4:4, LDG",
+                descent(hierarchy(
+                    "4:4:4",
+                    OmsConfig::default().scorer(ScorerKind::Ldg),
+                )),
+            ),
+            (
+                "fennel 16",
+                (
+                    Fennel::new(16, cfg).partition_graph(&g).unwrap(),
+                    threaded(&one_level(16, FlatObjective::Fennel)),
+                ),
+            ),
+            (
+                "ldg 16",
+                (
+                    Ldg::new(16, cfg).partition_graph(&g).unwrap(),
+                    threaded(&one_level(16, FlatObjective::Ldg)),
+                ),
+            ),
+            (
+                "oms 4:4, passes=3",
+                (
+                    ReOms::new(hierarchy("4:4", OmsConfig::default()), 3)
+                        .partition_graph(&g)
+                        .unwrap(),
+                    hierarchy("4:4", OmsConfig::default())
+                        .partition_graph_parallel_restream(&g, 1, 3, 0.0, false)
+                        .unwrap()
+                        .0,
+                ),
+            ),
+            (
+                "fennel 8, passes=3",
+                (
+                    ReFennel::new(8, cfg, 3).partition_graph(&g).unwrap(),
+                    one_level(8, FlatObjective::Fennel)
+                        .partition_graph_parallel_restream(&g, 1, 3, 0.0, false)
+                        .unwrap()
+                        .0,
+                ),
+            ),
+        ];
+        for (name, (sequential, threaded)) in rows {
+            assert_eq!(
+                sequential, threaded,
+                "{name}: T = 1 differs from sequential"
+            );
+        }
     }
 
     #[test]
     fn parallel_oms_many_threads_still_beats_hashing() {
         let g = planted_partition(800, 16, 0.08, 0.003, 13);
-        let h = HierarchySpec::parse("4:4").unwrap();
-        let oms = crate::OnlineMultiSection::with_hierarchy(h, OmsConfig::default());
+        let oms = hierarchy("4:4", OmsConfig::default());
         let p = oms.partition_graph_parallel(&g, 8).unwrap();
         let hash = hashing_parallel(&g, 16, OnePassConfig::default(), 8).unwrap();
         assert_eq!(p.num_nodes(), 800);
@@ -597,8 +350,9 @@ mod tests {
         // A graph with a few hubs: the edge-mass chunking must still produce
         // a valid, reasonably balanced partition.
         let g = oms_gen::barabasi_albert(800, 6, 11);
-        let p =
-            onepass_parallel(&g, 8, FlatObjective::Fennel, OnePassConfig::default(), 4).unwrap();
+        let p = one_level(8, FlatObjective::Fennel)
+            .partition_graph_parallel(&g, 4)
+            .unwrap();
         assert_eq!(p.num_nodes(), 800);
         assert!(p.validate(&vec![1; 800]));
         assert!(p.imbalance() < 0.25, "imbalance {}", p.imbalance());
@@ -607,7 +361,7 @@ mod tests {
     #[test]
     fn parallel_oms_on_empty_graph() {
         let g = CsrGraph::empty(0);
-        let oms = crate::OnlineMultiSection::flat(4, OmsConfig::default()).unwrap();
+        let oms = OnlineMultiSection::flat(4, OmsConfig::default()).unwrap();
         let p = oms.partition_graph_parallel(&g, 4).unwrap();
         assert_eq!(p.num_nodes(), 0);
     }
@@ -664,9 +418,10 @@ mod tests {
         let g = planted_partition(600, 8, 0.1, 0.01, 29);
         for seed in 0..4 {
             let cfg = OnePassConfig::default().seed(seed);
-            let (p, trajectory) =
-                onepass_parallel_restream(&g, 8, FlatObjective::Fennel, cfg, 4, 3, 0.0, true)
-                    .unwrap();
+            let oms = OnlineMultiSection::one_level(8, cfg, FlatObjective::Fennel).unwrap();
+            let (p, trajectory) = oms
+                .partition_graph_parallel_restream(&g, 4, 3, 0.0, true)
+                .unwrap();
             assert_eq!(p.num_nodes(), 600);
             assert!(p.validate(&vec![1; 600]));
             assert!(p.imbalance() < 0.25, "imbalance {}", p.imbalance());

@@ -1,42 +1,126 @@
-//! Scoring primitives shared by the flat baselines and the multi-section
-//! subproblems.
+//! Scoring primitives shared by every scoring kernel.
 //!
-//! A *candidate block* is described by its current weight, its capacity and
-//! the (edge-weighted) number of the streamed node's neighbors it already
-//! holds. Every scorer picks the candidate maximising its objective among the
-//! candidates that can still take the node; if no candidate can, the least
-//! loaded one (relative to its capacity) is used as a fallback so that the
-//! stream always makes progress.
+//! Two kernels place nodes: the flat `O(m + nk)` state of Fennel/LDG
+//! ([`crate::onepass`]) and the one multi-section descent of OMS / nh-OMS
+//! ([`crate::oms`]), which the threaded drivers ([`crate::parallel`]) run
+//! vertex-centrically. Both pick a block (or a tree node's child) through the
+//! one max-score [`select`] below, and both score a candidate as
+//! `combine(conn, base)`, where `base` is the pre-evaluated penalty of
+//! [`FlatObjective::base`](crate::FlatObjective::base): the flat state
+//! keeps it in an eager per-block arena, the descent in the load-keyed
+//! `BaseCache`.
+//!
+//! Every select follows the same rules: only candidates that can still take
+//! the node are considered, ties break towards the lighter candidate, then
+//! the lower index, and when nothing fits, the least relatively loaded
+//! candidate is the fallback so the stream always makes progress.
 
-use oms_graph::{EdgeWeight, NodeId, NodeWeight};
+use oms_graph::{NodeId, NodeWeight};
 
-/// A candidate block as seen by a scorer.
-#[derive(Clone, Copy, Debug)]
-pub struct Candidate {
-    /// Current weight of the block.
-    pub weight: NodeWeight,
-    /// Capacity (`L_max` or the subproblem's `Lᵢ`) of the block.
-    pub capacity: NodeWeight,
-    /// Total weight of edges from the streamed node to nodes already in this
-    /// block (`ω(N(v) ∩ Vᵢ)`).
-    pub connectivity: EdgeWeight,
-    /// Fennel's `α` for this block (ignored by LDG / Hashing).
-    pub alpha: f64,
+/// The max-score candidate among `len` candidates for a node of weight
+/// `node_weight`: the feasible candidate (`weight + node_weight ≤
+/// capacity`) with the highest score, ties to the lighter one, then the
+/// lower index; the least relatively loaded candidate when none is
+/// feasible.
+///
+/// `weight_of(i)` and `capacity_of(i)` describe candidate `i`, and
+/// `score_of(i, weight)` scores it at the load just read. The loop is
+/// branch-free in its hot comparisons: infeasible candidates are scored
+/// too (the value is never used) and the running best is updated with
+/// conditional moves.
+#[inline(always)]
+pub fn select<W, C, S>(
+    len: usize,
+    node_weight: NodeWeight,
+    weight_of: W,
+    capacity_of: C,
+    mut score_of: S,
+) -> usize
+where
+    W: Fn(usize) -> NodeWeight,
+    C: Fn(usize) -> NodeWeight,
+    S: FnMut(usize, NodeWeight) -> f64,
+{
+    let mut has_best = false;
+    let mut best_i = 0usize;
+    let mut best_s = 0.0f64;
+    let mut best_w: NodeWeight = 0;
+    for i in 0..len {
+        let weight = weight_of(i);
+        let s = score_of(i, weight);
+        let feasible = weight + node_weight <= capacity_of(i);
+        let better = feasible && (!has_best || s > best_s || (s == best_s && weight < best_w));
+        best_i = if better { i } else { best_i };
+        best_s = if better { s } else { best_s };
+        best_w = if better { weight } else { best_w };
+        has_best |= better;
+    }
+    if has_best {
+        best_i
+    } else {
+        least_loaded(len, weight_of, capacity_of)
+    }
 }
 
-/// Fennel's additive objective for one candidate:
-/// `ω(N(v) ∩ Vᵢ) − α·γ·c(Vᵢ)^{γ−1}`.
-#[inline]
-pub fn fennel_score(c: &Candidate, gamma: f64) -> f64 {
-    c.connectivity as f64 - c.alpha * gamma * (c.weight as f64).powf(gamma - 1.0)
+/// The fallback of [`select`]: the candidate with the smallest relative
+/// load `weight / capacity`, compared in `f64` (a `u64` cross-multiplied
+/// compare could order differently for loads that round to the same
+/// double); the first one on ties.
+fn least_loaded<W, C>(len: usize, weight_of: W, capacity_of: C) -> usize
+where
+    W: Fn(usize) -> NodeWeight,
+    C: Fn(usize) -> NodeWeight,
+{
+    let mut fallback = 0usize;
+    let mut fallback_load = f64::INFINITY;
+    for i in 0..len {
+        let load = weight_of(i) as f64 / capacity_of(i).max(1) as f64;
+        if load < fallback_load {
+            fallback_load = load;
+            fallback = i;
+        }
+    }
+    fallback
 }
 
-/// LDG's multiplicative objective for one candidate:
-/// `ω(N(v) ∩ Vᵢ) · (1 − c(Vᵢ)/Lᵢ)`.
-#[inline]
-pub fn ldg_score(c: &Candidate) -> f64 {
-    let remaining = 1.0 - c.weight as f64 / c.capacity.max(1) as f64;
-    c.connectivity as f64 * remaining
+/// Load-keyed cache of pre-evaluated penalty bases, one entry per
+/// candidate (per tree node in the descent). The base
+/// ([`FlatObjective::base`](crate::FlatObjective::base)) is a pure function of the candidate's load and
+/// its fixed capacity and `α`, so an entry is recomputed only when the load
+/// read differs from the cached one: one `powf` per observed load change
+/// instead of one per candidate per node, with bit-identical scores. Keying
+/// on the load rather than on assignment events keeps it correct for a
+/// reader that sees other threads' updates.
+pub(crate) struct BaseCache {
+    /// `(load, base)` per entry, side by side so a lookup touches one line.
+    entries: Vec<(NodeWeight, f64)>,
+}
+
+impl BaseCache {
+    pub(crate) fn new(len: usize) -> Self {
+        BaseCache {
+            // `NodeWeight::MAX` never matches a real load, so every entry is
+            // computed on first use.
+            entries: vec![(NodeWeight::MAX, 0.0); len],
+        }
+    }
+
+    /// The base of entry `idx` at load `weight`; `base(weight)` evaluates
+    /// it ([`FlatObjective::base`](crate::FlatObjective::base) with the
+    /// entry's parameters) on a miss.
+    #[inline(always)]
+    pub(crate) fn get(
+        &mut self,
+        idx: usize,
+        weight: NodeWeight,
+        base: impl FnOnce(NodeWeight) -> f64,
+    ) -> f64 {
+        let entry = &mut self.entries[idx];
+        if entry.0 != weight {
+            *entry = (weight, base(weight));
+        }
+        entry.1
+    }
 }
 
 /// Deterministic node hash used by the Hashing scorer. Splitmix64 over the
@@ -51,63 +135,10 @@ pub fn hash_node(node: NodeId, seed: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Picks the best candidate under Fennel's objective.
-///
-/// Only candidates that can still fit `node_weight` are considered; if none
-/// can, the candidate with the lowest relative load is returned. Ties are
-/// broken towards the lighter block, then towards the smaller index, which
-/// makes the result deterministic.
-pub fn select_fennel(candidates: &[Candidate], node_weight: NodeWeight, gamma: f64) -> usize {
-    select_by(candidates, node_weight, |c| fennel_score(c, gamma))
-}
-
-/// Picks the best candidate under LDG's objective (same fallback and
-/// tie-breaking rules as [`select_fennel`]).
-pub fn select_ldg(candidates: &[Candidate], node_weight: NodeWeight) -> usize {
-    select_by(candidates, node_weight, ldg_score)
-}
-
 /// Picks a candidate uniformly by hashing the node id.
 pub fn select_hashing(num_candidates: usize, node: NodeId, seed: u64) -> usize {
     debug_assert!(num_candidates > 0);
     (hash_node(node, seed) % num_candidates as u64) as usize
-}
-
-fn select_by<F>(candidates: &[Candidate], node_weight: NodeWeight, score: F) -> usize
-where
-    F: Fn(&Candidate) -> f64,
-{
-    debug_assert!(!candidates.is_empty());
-    let mut best: Option<(usize, f64, NodeWeight)> = None;
-    for (i, c) in candidates.iter().enumerate() {
-        if c.weight + node_weight > c.capacity {
-            continue;
-        }
-        let s = score(c);
-        match best {
-            None => best = Some((i, s, c.weight)),
-            Some((_, bs, bw)) => {
-                if s > bs || (s == bs && c.weight < bw) {
-                    best = Some((i, s, c.weight));
-                }
-            }
-        }
-    }
-    if let Some((i, _, _)) = best {
-        return i;
-    }
-    // Fallback: every block is full; pick the one with the lowest relative
-    // load so the overload is spread as evenly as possible.
-    candidates
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            let la = a.weight as f64 / a.capacity.max(1) as f64;
-            let lb = b.weight as f64 / b.capacity.max(1) as f64;
-            la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)
-        .unwrap_or(0)
 }
 
 /// The global Fennel parameter `α = √k · m / n^{3/2}` of a `k`-way
@@ -122,56 +153,100 @@ pub fn fennel_alpha(k: u32, m: usize, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlatObjective;
 
-    fn cand(weight: NodeWeight, capacity: NodeWeight, connectivity: EdgeWeight) -> Candidate {
-        Candidate {
-            weight,
-            capacity,
-            connectivity,
-            alpha: 1.0,
-        }
+    /// A candidate as the tests describe it: load, capacity, connectivity.
+    type Cand = (NodeWeight, NodeWeight, u64);
+
+    /// Runs the shared select over `cands` with the objective's direct
+    /// score, `α = 1`, `γ = 1.5`.
+    fn pick(objective: FlatObjective, cands: &[Cand], node_weight: NodeWeight) -> usize {
+        select(
+            cands.len(),
+            node_weight,
+            |i| cands[i].0,
+            |i| cands[i].1,
+            |i, weight| objective.score(cands[i].2, weight, cands[i].1, 1.0, 1.5),
+        )
     }
 
     #[test]
     fn fennel_prefers_connectivity() {
-        let candidates = [cand(10, 100, 0), cand(10, 100, 5)];
-        assert_eq!(select_fennel(&candidates, 1, 1.5), 1);
+        let cands = [(10, 100, 0), (10, 100, 5)];
+        assert_eq!(pick(FlatObjective::Fennel, &cands, 1), 1);
     }
 
     #[test]
     fn fennel_penalises_heavy_blocks() {
         // Equal connectivity: the lighter block wins through the additive
         // penalty.
-        let candidates = [cand(90, 100, 3), cand(10, 100, 3)];
-        assert_eq!(select_fennel(&candidates, 1, 1.5), 1);
+        let cands = [(90, 100, 3), (10, 100, 3)];
+        assert_eq!(pick(FlatObjective::Fennel, &cands, 1), 1);
     }
 
     #[test]
-    fn fennel_respects_capacity() {
-        // Block 1 has more neighbors but is full.
-        let candidates = [cand(10, 100, 0), cand(100, 100, 9)];
-        assert_eq!(select_fennel(&candidates, 1, 1.5), 0);
+    fn select_respects_capacity() {
+        // Block 1 has more neighbors but cannot take the node.
+        let cands = [(10, 100, 0), (100, 100, 9)];
+        assert_eq!(pick(FlatObjective::Fennel, &cands, 1), 0);
+        assert_eq!(pick(FlatObjective::Ldg, &cands, 1), 0);
+        // Exactly filling a block is still feasible.
+        let cands = [(10, 100, 0), (95, 100, 20)];
+        assert_eq!(pick(FlatObjective::Fennel, &cands, 5), 1);
     }
 
     #[test]
     fn fallback_picks_least_loaded_when_everything_is_full() {
-        let candidates = [cand(100, 100, 0), cand(99, 100, 0), cand(100, 100, 5)];
-        assert_eq!(select_fennel(&candidates, 5, 1.5), 1);
-        assert_eq!(select_ldg(&candidates, 5), 1);
+        let cands = [(100, 100, 0), (99, 100, 0), (100, 100, 5)];
+        assert_eq!(pick(FlatObjective::Fennel, &cands, 5), 1);
+        assert_eq!(pick(FlatObjective::Ldg, &cands, 5), 1);
+    }
+
+    #[test]
+    fn fallback_compares_relative_load_and_keeps_the_first_minimum() {
+        // 60/100 = 0.6 beats 50/50 = 1.0 although it is heavier; of two
+        // equal relative loads the lower index wins.
+        let cands = [(50, 50, 0), (60, 100, 0), (30, 50, 0)];
+        assert_eq!(pick(FlatObjective::Fennel, &cands, 100), 1);
+        let cands = [(50, 50, 0), (40, 40, 0)];
+        assert_eq!(pick(FlatObjective::Ldg, &cands, 100), 0);
     }
 
     #[test]
     fn ldg_prefers_connectivity_scaled_by_remaining_capacity() {
         // Block 0: 4 neighbors but nearly full; block 1: 3 neighbors, empty.
-        let candidates = [cand(90, 100, 4), cand(0, 100, 3)];
-        assert_eq!(select_ldg(&candidates, 1), 1);
+        let cands = [(90, 100, 4), (0, 100, 3)];
+        assert_eq!(pick(FlatObjective::Ldg, &cands, 1), 1);
     }
 
     #[test]
-    fn ldg_ties_broken_towards_lighter_block() {
-        // No neighbors anywhere: all scores are 0, lighter block wins.
-        let candidates = [cand(5, 100, 0), cand(2, 100, 0), cand(9, 100, 0)];
-        assert_eq!(select_ldg(&candidates, 1), 1);
+    fn ldg_scales_by_each_candidates_own_capacity() {
+        // Same load and connectivity; the larger capacity leaves more room.
+        let cands = [(50, 100, 4), (50, 200, 4)];
+        assert_eq!(pick(FlatObjective::Ldg, &cands, 1), 1);
+    }
+
+    #[test]
+    fn ties_break_to_the_lighter_block_then_the_lower_index() {
+        // No neighbors anywhere: all LDG scores are 0, lighter block wins.
+        let cands = [(5, 100, 0), (2, 100, 0), (9, 100, 0)];
+        assert_eq!(pick(FlatObjective::Ldg, &cands, 1), 1);
+        // Identical candidates: the lowest index wins.
+        let cands = [(7, 100, 1), (7, 100, 1), (7, 100, 1)];
+        assert_eq!(pick(FlatObjective::Fennel, &cands, 1), 0);
+        assert_eq!(pick(FlatObjective::Ldg, &cands, 1), 0);
+    }
+
+    #[test]
+    fn base_cache_matches_the_direct_score_bit_for_bit() {
+        let mut cache = BaseCache::new(2);
+        for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
+            for weight in [0u64, 1, 7, 99, 1 << 40] {
+                let base = cache.get(1, weight, |w| objective.base(w, 100, 0.37, 1.5));
+                let direct = objective.score(5, weight, 100, 0.37, 1.5);
+                assert_eq!(objective.combine(5.0, base).to_bits(), direct.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -206,24 +281,14 @@ mod tests {
 
     #[test]
     fn fennel_score_formula() {
-        let c = Candidate {
-            weight: 4,
-            capacity: 100,
-            connectivity: 7,
-            alpha: 0.5,
-        };
         let expected = 7.0 - 0.5 * 1.5 * 4.0f64.powf(0.5);
-        assert!((fennel_score(&c, 1.5) - expected).abs() < 1e-12);
+        let got = FlatObjective::Fennel.score(7, 4, 100, 0.5, 1.5);
+        assert!((got - expected).abs() < 1e-12);
     }
 
     #[test]
     fn ldg_score_formula() {
-        let c = Candidate {
-            weight: 25,
-            capacity: 100,
-            connectivity: 4,
-            alpha: 0.0,
-        };
-        assert!((ldg_score(&c) - 4.0 * 0.75).abs() < 1e-12);
+        let got = FlatObjective::Ldg.score(4, 25, 100, 0.0, 1.5);
+        assert!((got - 4.0 * 0.75).abs() < 1e-12);
     }
 }

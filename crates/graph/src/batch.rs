@@ -152,6 +152,11 @@ impl NodeBatch {
         &mut self.neighbors
     }
 
+    /// The largest neighbour id in the batch (the readers' range check).
+    pub(crate) fn max_neighbor(&self) -> Option<NodeId> {
+        self.neighbors.iter().copied().max()
+    }
+
     /// Direct append access to the edge-weight column (bulk decode).
     pub(crate) fn edge_weights_vec_mut(&mut self) -> &mut Vec<EdgeWeight> {
         &mut self.edge_weights

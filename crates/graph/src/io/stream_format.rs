@@ -759,11 +759,24 @@ impl PassReader {
 
     /// Clears `batch` and refills it with up to `max_nodes` decoded nodes.
     /// Returns `true` while more nodes remain after this batch.
+    ///
+    /// Every neighbour id is range-checked here, for both body layouts, with
+    /// one max over the batch's neighbour column: an id `≥ n` would index
+    /// past every per-node array downstream.
     fn fill(&mut self, batch: &mut NodeBatch, max_nodes: usize) -> Result<bool> {
-        match self {
-            PassReader::Interleaved(r) => r.fill(batch, max_nodes),
-            PassReader::Sectioned(r) => r.fill(batch, max_nodes),
+        let (more, num_nodes) = match self {
+            PassReader::Interleaved(r) => (r.fill(batch, max_nodes)?, r.expected_nodes),
+            PassReader::Sectioned(r) => (r.fill(batch, max_nodes)?, r.expected_nodes),
+        };
+        if let Some(max) = batch.max_neighbor() {
+            if max as usize >= num_nodes {
+                return Err(GraphError::NodeOutOfRange {
+                    node: max as u64,
+                    num_nodes: num_nodes as u64,
+                });
+            }
         }
+        Ok(more)
     }
 
     /// Checked sum of the node weights decoded so far.
@@ -1901,6 +1914,51 @@ mod tests {
             other => panic!("expected CountMismatch, got: {other}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn out_of_range_neighbor_is_a_typed_error_in_v2_and_v3() {
+        // A 1000-node unit-weight path whose first neighbour id (node 0's
+        // only neighbour) is rewritten to 4 000 000.
+        let n = 1000u32;
+        let edges: Vec<(NodeId, NodeId)> = (1..n).map(|v| (v - 1, v)).collect();
+        let g = CsrGraph::from_edges(n as usize, &edges).unwrap();
+        for version in [StreamFormatVersion::V2, StreamFormatVersion::V3] {
+            let path = temp_path(&format!("out-of-range-v{}.oms", version.number()));
+            let options = StreamWriteOptions {
+                version,
+                ..StreamWriteOptions::default()
+            };
+            write_stream_file_with(&g, &path, options).unwrap();
+            // v2: header, then node 0's degree; v3: the neighbour section.
+            let first_neighbor = match version {
+                StreamFormatVersion::V3 => {
+                    v3_layout(n as u64, g.num_edges() as u64, 0).neighbors_off
+                }
+                _ => version.header_len() as u64 + 4,
+            } as usize;
+            let mut bytes = std::fs::read(&path).unwrap();
+            assert_eq!(
+                bytes[first_neighbor..first_neighbor + 4],
+                1u32.to_le_bytes()
+            );
+            bytes[first_neighbor..first_neighbor + 4].copy_from_slice(&4_000_000u32.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let expected = |e: GraphError| match e {
+                GraphError::NodeOutOfRange { node, num_nodes } => {
+                    assert_eq!((node, num_nodes), (4_000_000, n as u64), "{version:?}")
+                }
+                other => panic!("{version:?}: expected NodeOutOfRange, got: {other}"),
+            };
+            expected(read_stream_file(&path).unwrap_err());
+            for double_buffered in [false, true] {
+                let mut stream = DiskStream::open(&path)
+                    .unwrap()
+                    .double_buffered(double_buffered);
+                expected(stream.stream_nodes(|_| {}).unwrap_err());
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@ use oms_core::executor::{
     measure_pass, BatchExecutor, PassOutcome, PassTracker, PassTrajectory, RestreamOptions,
 };
 use oms_core::partition::UNASSIGNED;
-use oms_core::scorer::fennel_alpha;
-use oms_core::{BlockId, Partition, PartitionError, Result};
+use oms_core::scorer::{fennel_alpha, select};
+use oms_core::{BlockId, FlatObjective, Partition, PartitionError, Result};
 use oms_graph::{GraphBuilder, NodeBatch, NodeStream, NodeWeight};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -315,29 +315,14 @@ impl CommitState {
     /// external connectivities `conn`: the Fennel-style best feasible block,
     /// or the least relatively loaded one when nothing fits.
     fn choose_block(&self, conn: &[u64], weight: NodeWeight) -> usize {
-        let mut best: Option<(usize, f64, NodeWeight)> = None;
-        let mut fallback = 0usize;
-        let mut fallback_load = f64::INFINITY;
-        for (gb, (&c, &bw)) in conn.iter().zip(self.block_weights.iter()).enumerate() {
-            let load = bw as f64 / self.capacity.max(1) as f64;
-            if load < fallback_load {
-                fallback_load = load;
-                fallback = gb;
-            }
-            if bw + weight > self.capacity {
-                continue;
-            }
-            let score = c as f64 - self.alpha * GAMMA * (bw as f64).powf(GAMMA - 1.0);
-            match best {
-                None => best = Some((gb, score, bw)),
-                Some((_, bs, bbw)) => {
-                    if score > bs || (score == bs && bw < bbw) {
-                        best = Some((gb, score, bw));
-                    }
-                }
-            }
-        }
-        best.map(|(gb, _, _)| gb).unwrap_or(fallback)
+        let (capacity, alpha) = (self.capacity, self.alpha);
+        select(
+            self.block_weights.len(),
+            weight,
+            |gb| self.block_weights[gb],
+            |_| capacity,
+            |gb, bw| FlatObjective::Fennel.score(conn[gb], bw, capacity, alpha, GAMMA),
+        )
     }
 
     /// Rolls the state back to a previously observed assignment (the pass

@@ -9,7 +9,7 @@
 use crate::buffered::BufferedMultilevel;
 use crate::hierarchical::RecursiveMultisection;
 use crate::partitioner::{MultilevelConfig, MultilevelPartitioner};
-use oms_core::api::{materialize_stream, register_algorithm, AlgorithmInfo, JobSpec, Partitioner};
+use oms_core::api::{register_algorithm, stream_graph, AlgorithmInfo, JobSpec, Partitioner};
 use oms_core::executor::PassTrajectory;
 use oms_core::{refine_partition, OnePassConfig, Partition, PartitionError, Result};
 use oms_graph::NodeStream;
@@ -25,7 +25,7 @@ impl Partitioner for MultilevelPartitioner {
     }
 
     fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        let graph = materialize_stream(stream)?;
+        let graph = stream_graph(stream)?;
         MultilevelPartitioner::partition(self, &graph)
     }
 }
@@ -40,7 +40,7 @@ impl Partitioner for RecursiveMultisection {
     }
 
     fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        let graph = materialize_stream(stream)?;
+        let graph = stream_graph(stream)?;
         RecursiveMultisection::partition(self, &graph)
     }
 }

@@ -12,7 +12,9 @@
 //! parallel test threads would attribute each other's allocations.
 
 use oms::core::{BatchExecutor, FlatObjective, OnePassConfig, RepairSink, StreamingPartitioner};
-use oms::prelude::{planted_partition, Fennel, InMemoryStream, Ldg};
+use oms::prelude::{
+    planted_partition, Fennel, HierarchySpec, InMemoryStream, Ldg, OmsConfig, OnlineMultiSection,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -94,6 +96,15 @@ fn steady_state_scoring_is_allocation_free() {
                 .partition_stream(&mut InMemoryStream::new(g))
                 .unwrap();
             Ldg::new(k, cfg)
+                .partition_stream(&mut InMemoryStream::new(g))
+                .unwrap();
+            // The multi-section descent: nh-OMS (b = 4) and a hierarchy.
+            OnlineMultiSection::flat(k, OmsConfig::default())
+                .unwrap()
+                .partition_stream(&mut InMemoryStream::new(g))
+                .unwrap();
+            let hierarchy = HierarchySpec::parse("2:2:2").unwrap();
+            OnlineMultiSection::with_hierarchy(hierarchy, OmsConfig::default())
                 .partition_stream(&mut InMemoryStream::new(g))
                 .unwrap();
         })

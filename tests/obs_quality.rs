@@ -261,6 +261,34 @@ fn counters_reconcile_with_the_partition_report() {
     assert!(core.metrics().counter(CounterId::DegLe2FastPath) <= n);
 }
 
+#[test]
+fn descent_counts_every_placed_node() {
+    // The multi-section descent tallies the nodes it places, sequentially
+    // and threaded (where the per-thread tallies reach the thread-local
+    // observer from the driver thread): n per executed pass.
+    let graph = planted_partition(600, 8, 0.1, 0.005, 11);
+    let n = graph.num_nodes() as u64;
+    for spec in [
+        "oms:2:2:2@seed=3",
+        "oms:2:2:2@seed=3,threads=2",
+        "oms:2:2:2@seed=3,passes=3",
+        "oms:2:2:2@seed=3,threads=2,passes=3",
+        "fennel:8@seed=3,threads=2",
+    ] {
+        let (core, guard) = obs::recording(obs::DEFAULT_CAPACITY);
+        let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
+        let report = partitioner.run(&mut InMemoryStream::new(&graph)).unwrap();
+        drop(guard);
+        let passes = report.trajectory.len().max(1) as u64;
+        assert_eq!(report.partition.num_nodes() as u64, n);
+        assert_eq!(
+            core.metrics().counter(CounterId::NodesScored),
+            n * passes,
+            "{spec}: {passes} passes"
+        );
+    }
+}
+
 // ------------------------------------------------------------ inertness
 
 #[test]
